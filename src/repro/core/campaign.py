@@ -35,6 +35,7 @@ from repro.dsg.pipeline import DSG, DSGConfig
 from repro.dsg.query_gen import GenerationConfig
 from repro.engine.dialects import DialectProfile, dialect_by_name
 from repro.engine.engine import Engine, reference_engine
+from repro.engine.executor import DEFAULT_REFERENCE_EXECUTOR
 from repro.errors import CampaignError, GenerationError
 
 
@@ -96,10 +97,10 @@ class CampaignConfig:
     use_ground_truth: bool = True
     use_kqe: bool = True
     max_hint_sets: Optional[int] = None
-    # Reference execution strategy ("row" or "columnar") and the
+    # Reference execution strategy ("columnar" or "row") and the
     # content-addressed render/result cache — differential campaigns only;
     # both leave verdicts bit-identical (see repro.core.qcache).
-    reference_executor: str = "row"
+    reference_executor: str = DEFAULT_REFERENCE_EXECUTOR
     use_query_cache: bool = False
     # Widened-grammar probabilities (set operations, scalar subqueries,
     # CTEs).  0.0 keeps the classic join-query-only grammar and, by the
@@ -161,7 +162,7 @@ class CampaignSpec:
     use_ground_truth: bool = True
     use_kqe: bool = True
     max_hint_sets: Optional[int] = None
-    reference_executor: str = "row"
+    reference_executor: str = DEFAULT_REFERENCE_EXECUTOR
     use_query_cache: bool = False
     setop_probability: float = 0.0
     scalar_subquery_probability: float = 0.0
@@ -399,7 +400,7 @@ def build_differential_tester(backend: BackendAdapter, config: CampaignConfig,
     """Deploy a DSG database into *backend* and wrap it in a tester.
 
     ``config.reference_executor`` selects the reference execution strategy
-    ("row" / "columnar"); ``config.use_query_cache`` attaches a fresh
+    ("columnar" / "row"); ``config.use_query_cache`` attaches a fresh
     :class:`~repro.core.qcache.QueryCache` serving both reference results and
     the backend's rendered SQL (pass *query_cache* to share one across
     testers, e.g. for repeat-campaign benches).

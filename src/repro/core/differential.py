@@ -30,7 +30,8 @@ from repro.core.bug_report import BugIncident, BugLog
 from repro.core.execpipe import ExecutionPipeline, PipelineConfig, QueryJob
 from repro.core.qcache import QueryCache, dataset_fingerprint, result_cache_key
 from repro.dsg.pipeline import DSG
-from repro.engine.engine import Engine
+from repro.engine.engine import Engine, reference_engine
+from repro.engine.executor import DEFAULT_REFERENCE_EXECUTOR
 from repro.engine.resultset import ResultSet
 from repro.errors import BackendError, GenerationError, RenderError
 from repro.kqe.explorer import KQE
@@ -289,7 +290,9 @@ class DifferentialTester:
         self.dsg = dsg
         self.backend = backend
         self.config = config or DifferentialConfig()
-        self.reference = reference or Engine(dsg.database)
+        self.reference = reference or reference_engine(
+            dsg.database, executor=DEFAULT_REFERENCE_EXECUTOR
+        )
         self.oracle = DifferentialOracle(
             self.reference, backend, config=self.config,
             query_cache=query_cache,
@@ -347,10 +350,11 @@ class DifferentialTester:
         with obs.span("generate"):
             query = self._generate()
             self.queries_generated += 1
-            label = self.graph_builder.build(query).canonical_label()
+            graph = self.graph_builder.build(query)
+            label = graph.canonical_label()
             self.diversity.add_label(label)
             if self.kqe is not None:
-                self.kqe.register(query)
+                self.kqe.register(query, graph=graph, label=label)
         if self.pipeline is None:
             outcome = self.oracle.check(query, label)
             self.outcomes.append(outcome)

@@ -79,6 +79,7 @@ from repro.distributed.protocol import (
     load_auth_key,
 )
 from repro.dsg.pipeline import DSG, DSGConfig
+from repro.engine.executor import DEFAULT_REFERENCE_EXECUTOR
 from repro.errors import CampaignError, GenerationError
 from repro.kqe.explorer import KQE
 from repro.kqe.graph_index import GraphIndex
@@ -1172,11 +1173,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="print a merged progress line (queries/s, novel "
                              "labels, bugs, phase mix) to stderr at every "
                              "sync round")
-    parser.add_argument("--executor", default="row",
+    parser.add_argument("--executor", default=DEFAULT_REFERENCE_EXECUTOR,
                         choices=registered_executors(),
                         help="reference execution strategy for differential "
-                             "campaigns: 'row' (classic interpreter) or "
-                             "'columnar' (vectorized) (default: row)")
+                             "campaigns: 'columnar' (vectorized) or 'row' "
+                             "(classic interpreter) (default: columnar)")
     parser.add_argument("--query-cache", action="store_true",
                         help="memoize rendered SQL and reference results in "
                              "a per-shard content-addressed cache (verdicts "

@@ -52,6 +52,7 @@ from repro.core import (
     sync_schedule,
 )
 from repro.distributed.protocol import load_auth_key
+from repro.engine.executor import DEFAULT_REFERENCE_EXECUTOR
 
 
 def _add_protocol_arguments(parser: argparse.ArgumentParser) -> None:
@@ -155,9 +156,9 @@ def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--executor",
-        default="row",
+        default=DEFAULT_REFERENCE_EXECUTOR,
         help="reference execution strategy for differential campaigns: "
-        "'row' or 'columnar' (default: row)",
+        "'columnar' or 'row' (default: columnar)",
     )
     parser.add_argument(
         "--query-cache",
@@ -420,7 +421,7 @@ def _cmd_verify_local(args: argparse.Namespace) -> int:
         hours=campaign["hours"],
         queries_per_hour=campaign["queries_per_hour"],
         seed=campaign["seed"],
-        reference_executor=campaign.get("executor", "row"),
+        reference_executor=campaign.get("executor", DEFAULT_REFERENCE_EXECUTOR),
         use_query_cache=campaign.get("query_cache", False),
     )
     shards = build_shard_specs(

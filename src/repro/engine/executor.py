@@ -54,6 +54,10 @@ class RowExecutor(ExecutorBackend):
 
 _EXECUTOR_FACTORIES: Dict[str, Callable[[], ExecutorBackend]] = {}
 
+#: The reference strategy campaigns and differential testers use unless told
+#: otherwise; "row" stays selectable by name.
+DEFAULT_REFERENCE_EXECUTOR = "columnar"
+
 
 def register_executor(name: str,
                       factory: Callable[[], ExecutorBackend]) -> None:
@@ -77,13 +81,10 @@ def executor_from_name(name: str) -> ExecutorBackend:
     return factory()
 
 
-def _columnar_factory() -> ExecutorBackend:
-    # Deferred import: columnar.py imports plan/expr modules that themselves
-    # import repro.engine, so the registry must not load it eagerly.
-    from repro.engine.columnar import ColumnarExecutor
-
-    return ColumnarExecutor()
-
+# Imported last, once ExecutorBackend exists for columnar.py to subclass.
+# Eager on purpose: the columnar executor is the default reference, and a
+# forked pool worker must not pay for this import inside its setup.
+from repro.engine.columnar import ColumnarExecutor  # noqa: E402
 
 register_executor("row", RowExecutor)
-register_executor("columnar", _columnar_factory)
+register_executor("columnar", ColumnarExecutor)

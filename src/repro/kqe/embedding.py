@@ -16,6 +16,7 @@ from typing import Dict, Iterable, List
 
 import numpy as np
 
+from repro.kqe.memo import EMBEDDINGS
 from repro.kqe.query_graph import QueryGraph
 
 DEFAULT_DIMENSIONS = 64
@@ -55,13 +56,22 @@ class GraphEmbedder:
         return tokens
 
     def embed(self, graph: QueryGraph) -> np.ndarray:
-        """Embed one query graph as an L2-normalized vector."""
+        """Embed one query graph as an L2-normalized, read-only vector.
+
+        Memoized process-wide by value: an equal graph under an equal
+        embedder configuration gets the same array back.
+        """
+        return EMBEDDINGS.get((self.dimensions, self.iterations, graph),
+                              lambda: self._embed(graph))
+
+    def _embed(self, graph: QueryGraph) -> np.ndarray:
         vector = np.zeros(self.dimensions, dtype=np.float64)
         for token in self._wl_colors(graph):
             vector[_stable_bucket(token, self.dimensions)] += 1.0
         norm = np.linalg.norm(vector)
         if norm > 0:
             vector /= norm
+        vector.setflags(write=False)
         return vector
 
     def embed_many(self, graphs: Iterable[QueryGraph]) -> np.ndarray:

@@ -129,7 +129,8 @@ class KQE:
 
     # -------------------------------------------------------------- registering
 
-    def register(self, query: QuerySpec) -> Tuple[QueryGraph, bool]:
+    def register(self, query: QuerySpec, graph: Optional[QueryGraph] = None,
+                 label: Optional[str] = None) -> Tuple[QueryGraph, bool]:
         """Add a generated query's graph to the index.
 
         The full query graph feeds the isomorphic-set counter (the diversity
@@ -137,12 +138,18 @@ class KQE:
         query, because that is what the adaptive walk compares its partial
         graphs against when scoring candidate extensions (Algorithm 2).
 
+        A caller that already built the query's *graph* and its canonical
+        *label* passes them in, so neither is computed twice.
+
         Returns the query graph and whether it opened a new isomorphic set.
         """
-        graph = self.builder.build(query)
+        if graph is None:
+            graph = self.builder.build(query)
+        if label is None:
+            label = graph.canonical_label()
         skeleton = self.builder.build_partial(query.base.alias, query.joins)
         self.index.add(skeleton)
-        novel = self.counter.add(graph)
+        novel = self.counter.add_label(label)
         return graph, novel
 
     @property

@@ -7,7 +7,10 @@ so exact KNN is a single vectorized matrix-vector cosine, and a
 sign-random-projection LSH (:mod:`repro.kqe.lsh`, seeded from the embedder
 configuration) prefilters ``nearest(approximate=True)`` to a bounded
 candidate set once the index outgrows brute force — the Hilbert-ordered
-pruning of HD-Index, done with hash tables.
+pruning of HD-Index, done with hash tables.  The LSH tables are built only
+when the index first grows past ``lsh_min_size``, by replaying every stored
+row in insertion order, so they are byte-identical to tables filled from the
+first insert while a small index never pays for hyperplanes or hashing.
 
 The whole index round-trips through the checksummed snapshot log of
 :mod:`repro.kqe.snapshot` (``save_snapshot``/``load_snapshot``), which is
@@ -23,6 +26,7 @@ from repro import obs
 from repro.errors import SnapshotError
 from repro.kqe.embedding import GraphEmbedder
 from repro.kqe.lsh import SignRandomProjectionLSH
+from repro.kqe.memo import SKELETON_LABELS
 from repro.kqe.query_graph import QueryGraph
 from repro.kqe.store import EntryBatch, VectorStore
 
@@ -62,16 +66,11 @@ class GraphIndex:
         # turns a campaign into O(n^2) over the index size.
         self._label_counts: Counter = Counter()
         # The LSH prefilter only pays off with vectorized scoring behind it;
-        # the pure-Python fallback scans exactly (still deterministic).
+        # the pure-Python fallback scans exactly (still deterministic).  It is
+        # built the first time the store grows past lsh_min_size.
+        self._lsh_tables = lsh_tables
+        self._lsh_bits = lsh_bits
         self._lsh: Optional[SignRandomProjectionLSH] = None
-        if self._store.uses_numpy:
-            self._lsh = SignRandomProjectionLSH(
-                dims=self.embedder.dimensions,
-                tables=lsh_tables,
-                bits=lsh_bits,
-                seed_material=lsh_seed_material(self.embedder),
-                use_numpy=True,
-            )
 
     def __len__(self) -> int:
         return len(self._store)
@@ -81,7 +80,8 @@ class GraphIndex:
     def add(self, graph: QueryGraph) -> Any:
         """Insert a query graph; returns its embedding."""
         vector = self.embedder.embed(graph)
-        self.add_embedding(vector, graph.canonical_label())
+        label = SKELETON_LABELS.get(graph, graph.canonical_label)
+        self.add_embedding(vector, label)
         return vector
 
     def add_embedding(self, vector: Sequence[float], canonical_label: str = "") -> None:
@@ -91,6 +91,26 @@ class GraphIndex:
         self._label_counts[canonical_label] += 1
         if self._lsh is not None:
             self._lsh.insert(index, vector)
+        elif self._store.uses_numpy and len(self._store) > self.lsh_min_size:
+            self._lsh = self._build_lsh()
+
+    def _build_lsh(self) -> SignRandomProjectionLSH:
+        """LSH tables over every stored row, inserted in insertion order.
+
+        A stored row is the inserted vector zero-padded to the store's width,
+        and the LSH pads or truncates to the embedder's width before hashing,
+        so each row lands in the buckets its original insert would have.
+        """
+        lsh = SignRandomProjectionLSH(
+            dims=self.embedder.dimensions,
+            tables=self._lsh_tables,
+            bits=self._lsh_bits,
+            seed_material=lsh_seed_material(self.embedder),
+            use_numpy=True,
+        )
+        for position in range(len(self._store)):
+            lsh.insert(position, self._store.row(position))
+        return lsh
 
     def entries_since(self, start: int) -> EntryBatch:
         """The (embedding, canonical label) pairs inserted at position >= *start*.
@@ -120,11 +140,7 @@ class GraphIndex:
             return []
         counters = obs.get_registry()
         candidates: Optional[Sequence[int]] = None
-        if (
-            approximate
-            and self._lsh is not None
-            and len(self._store) > self.lsh_min_size
-        ):
+        if approximate and self._lsh is not None:
             candidates = self._lsh.candidates(vector)
             if (
                 len(candidates) < max(k, 16)

@@ -55,12 +55,7 @@ class IsomorphicSetCounter:
 
     def add(self, graph: QueryGraph) -> bool:
         """Register a query graph; returns True when it opens a new isomorphic set."""
-        label = graph.canonical_label()
-        self._per_label_counts[label] = self._per_label_counts.get(label, 0) + 1
-        if label in self._labels:
-            return False
-        self._labels.add(label)
-        return True
+        return self.add_label(graph.canonical_label())
 
     def add_label(self, label: str) -> bool:
         """Register a pre-computed canonical label."""

@@ -25,7 +25,7 @@ def fingerprint(result):
 
 
 def test_cache_on_equals_cache_off_serial():
-    plain = run_campaign(CampaignSpec(**SPEC))
+    plain = run_campaign(CampaignSpec(**SPEC, reference_executor="row"))
     cached = run_campaign(
         CampaignSpec(**SPEC, use_query_cache=True,
                      reference_executor="columnar")
@@ -34,7 +34,8 @@ def test_cache_on_equals_cache_off_serial():
 
 
 def test_cache_on_equals_cache_off_pooled():
-    plain = run_campaign(CampaignSpec(**SPEC, workers=2))
+    plain = run_campaign(CampaignSpec(**SPEC, workers=2,
+                                      reference_executor="row"))
     cached = run_campaign(
         CampaignSpec(**SPEC, workers=2, use_query_cache=True,
                      reference_executor="columnar")
