@@ -10,7 +10,6 @@ numbers meaningful: a correct backend yields zero mismatches.
 
 from __future__ import annotations
 
-import os
 import statistics
 import time
 
@@ -23,7 +22,6 @@ from repro import (
     CampaignResult,
     CampaignSpec,
     PipelineConfig,
-    QueryCache,
     SIM_MYSQL,
     SimulatedBackend,
     SQLiteBackend,
@@ -191,12 +189,17 @@ def test_telemetry_overhead_under_five_percent(benchmark):
     """Phase spans and counters must not tax the pipelined campaign.
 
     Runs the same latency-padded pipelined workload with telemetry enabled
-    and disabled — alternating off/on pairs and keeping each side's best
-    time, so scheduler noise and thermal drift hit both sides equally — and
-    asserts the enabled path is within 5% of the disabled one: the
-    zero-cost-enough contract the observability layer promises.
+    and disabled and asserts the enabled path is within 5% of the disabled
+    one: the zero-cost-enough contract the observability layer promises.
+
+    One campaign per side is a single noisy sample, so the gate takes the
+    median on/off ratio over interleaved pairs, as the overlap gate above
+    does.  The order inside a pair alternates, and an untimed warm-up run
+    fills the process-wide KQE memos first, so neither side always runs
+    cold.
     """
     delay = 0.020
+    repeats = 7
     config = CampaignConfig(dataset="shopping", dataset_rows=90, hours=2,
                             queries_per_hour=16, seed=5)
 
@@ -225,36 +228,40 @@ def test_telemetry_overhead_under_five_percent(benchmark):
         finally:
             obs.set_enabled(previous)
 
-    def measure():
-        off_result, off_best = timed(False)
-        on_result, on_best = timed(True)
-        for _ in range(3):
-            off_best = min(off_best, timed(False)[1])
-            on_best = min(on_best, timed(True)[1])
-        return off_result, off_best, on_result, on_best
+    def run_pairs():
+        timed(False)
+        pairs = []
+        for index in range(repeats):
+            if index % 2:
+                on_result, on_seconds = timed(True)
+                off_result, off_seconds = timed(False)
+            else:
+                off_result, off_seconds = timed(False)
+                on_result, on_seconds = timed(True)
+            pairs.append((off_result, off_seconds, on_result, on_seconds))
+        return pairs
 
-    off_result, off_seconds, on_result, on_seconds = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
-
-    overhead = on_seconds / off_seconds - 1.0
+    pairs = benchmark.pedantic(run_pairs, rounds=1, iterations=1)
+    ratios = [on_seconds / off_seconds
+              for _, off_seconds, _, on_seconds in pairs]
+    overhead = statistics.median(ratios) - 1.0
     print()
-    print(f"telemetry off {off_seconds:.3f}s vs on {on_seconds:.3f}s "
-          f"-> {overhead * 100.0:+.2f}% overhead")
-    assert on_result.samples == off_result.samples, (
-        "telemetry must not change campaign verdicts"
-    )
+    for _, off_seconds, _, on_seconds in pairs:
+        print(f"telemetry off {off_seconds:.3f}s vs on {on_seconds:.3f}s "
+              f"-> {(on_seconds / off_seconds - 1.0) * 100.0:+.2f}%")
+    print(f"median overhead over {repeats} interleaved pairs: "
+          f"{overhead * 100.0:+.2f}%")
+    for off_result, _, on_result, _ in pairs:
+        assert on_result.samples == off_result.samples, (
+            "telemetry must not change campaign verdicts"
+        )
     assert overhead < 0.05, (
-        f"telemetry overhead {overhead * 100.0:.2f}% exceeds the 5% budget"
+        f"telemetry overhead {overhead * 100.0:.2f}% exceeds the 5% budget "
+        f"(ratios: {', '.join(f'{r:.3f}' for r in ratios)})"
     )
 
 
-# ------------------------------------------ vectorized executor + query cache
-
-
-def _reference_seconds(snapshot) -> float:
-    """Total ``execute.reference`` span time in *snapshot*."""
-    return snapshot.phase_seconds().get("execute.reference", (0.0, 0))[0]
+# ---------------------------------------------------- row vs columnar executor
 
 
 def _campaign_fingerprint(result) -> tuple:
@@ -267,98 +274,16 @@ def _campaign_fingerprint(result) -> tuple:
 
 
 @pytest.mark.benchmark(group="backend-differential-executor")
-def test_vectorized_cache_reference_speedup(benchmark):
-    """Columnar executor + query cache >= 2x on ``execute.reference``.
+def test_executor_verdicts_serial_and_pooled(benchmark):
+    """Row == columnar, on the serial path AND the 2-worker pool.
 
-    The workload is two *identical* campaigns back to back — a repeat
-    campaign (rerun benches, re-sharded seeds) is exactly what the
-    content-addressed cache exists for.  The baseline pays the row
-    interpreter twice; the candidate pays the columnar executor once and
-    serves the second run from the cache.  Speedup is compared on the
-    ``execute.reference`` phase itself (``phase.seconds``), the share the
-    ROADMAP names as the dominant cost, and verdicts must be bit-identical.
-
-    Set ``TQS_BENCH_ARTIFACT`` to a path to dump the before/after phase
-    breakdown (the CI bench smoke uploads it).
-    """
-    config = CampaignConfig(dataset="shopping", dataset_rows=110, hours=6,
-                            queries_per_hour=20, seed=5)
-
-    def drive(executor, cache):
-        cfg = CampaignConfig(**{**config.__dict__,
-                                "reference_executor": executor})
-        tester = build_differential_tester(SQLiteBackend(), cfg,
-                                           query_cache=cache)
-        result = CampaignResult(tool="TQS-differential",
-                                dbms=tester.backend.name, dataset=cfg.dataset)
-        try:
-            return run_campaign_loop(tester, result, cfg.hours,
-                                     cfg.queries_per_hour)
-        finally:
-            tester.close()
-
-    def measure(executor, with_cache):
-        obs.reset_registry()
-        cache = QueryCache() if with_cache else None
-        results = [drive(executor, cache) for _ in range(2)]
-        return results, obs.get_registry().snapshot()
-
-    baseline_results, baseline_snapshot = measure("row", False)
-
-    def run_candidate():
-        return measure("columnar", True)
-
-    candidate_results, candidate_snapshot = benchmark.pedantic(
-        run_candidate, rounds=1, iterations=1
-    )
-
-    for base, cand in zip(baseline_results, candidate_results):
-        assert _campaign_fingerprint(base) == _campaign_fingerprint(cand), (
-            "columnar+cache campaign must be bit-identical to the row baseline"
-        )
-
-    baseline_ref = _reference_seconds(baseline_snapshot)
-    candidate_ref = _reference_seconds(candidate_snapshot)
-    speedup = baseline_ref / max(candidate_ref, 1e-9)
-    before = obs.render_phase_breakdown(baseline_snapshot)
-    after = obs.render_phase_breakdown(candidate_snapshot)
-    print()
-    print("--- row executor, no cache (2 identical campaigns) ---")
-    print(before)
-    print("--- columnar executor + shared query cache ---")
-    print(after)
-    print(f"execute.reference: {baseline_ref:.3f}s -> {candidate_ref:.3f}s "
-          f"({speedup:.2f}x)")
-
-    artifact = os.environ.get("TQS_BENCH_ARTIFACT", "")
-    if artifact:
-        with open(artifact, "w", encoding="utf-8") as handle:
-            handle.write("row executor, no cache (2 identical campaigns)\n")
-            handle.write(before + "\n\n")
-            handle.write("columnar executor + shared query cache\n")
-            handle.write(after + "\n\n")
-            handle.write(f"execute.reference speedup: {speedup:.2f}x "
-                         f"({baseline_ref:.3f}s -> {candidate_ref:.3f}s)\n")
-
-    assert speedup >= 2.0, (
-        f"expected >= 2x on execute.reference from the vectorized executor "
-        f"plus cache, got {speedup:.2f}x"
-    )
-
-
-@pytest.mark.benchmark(group="backend-differential-executor")
-def test_executor_cache_verdicts_serial_and_pooled(benchmark):
-    """Row/no-cache == columnar/cache, on the serial path AND the 2-worker pool.
-
-    The speedup test above covers the serial repeat-campaign case; this one
-    pins the determinism contract on the multiprocessing pool, where each
-    shard builds its own executor and per-shard cache from the wire-shipped
-    :class:`CampaignConfig`.
+    On the pool each shard builds its own reference executor from the
+    wire-shipped :class:`CampaignConfig`.
     """
     base = dict(kind="differential", backend="sqlite", dataset_rows=80,
                 hours=2, queries_per_hour=16, seed=7)
     row = dict(reference_executor="row")
-    fast = dict(reference_executor="columnar", use_query_cache=True)
+    fast = dict(reference_executor="columnar")
 
     def run_all():
         serial_row = run_campaign(CampaignSpec(**base, **row))
@@ -372,12 +297,12 @@ def test_executor_cache_verdicts_serial_and_pooled(benchmark):
     )
 
     assert _campaign_fingerprint(serial_row) == _campaign_fingerprint(serial_fast), (
-        "serial verdicts must not depend on executor or cache"
+        "serial verdicts must not depend on the executor"
     )
     assert _campaign_fingerprint(pooled_row.merged) == _campaign_fingerprint(
         pooled_fast.merged
-    ), "pooled verdicts must not depend on executor or cache"
+    ), "pooled verdicts must not depend on the executor"
     print()
     print(f"serial: {serial_row.final.queries_executed} comparisons, "
           f"pooled: {pooled_row.merged.final.queries_executed} comparisons — "
-          "verdicts identical across executor/cache settings")
+          "verdicts identical across executors")

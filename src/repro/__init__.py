@@ -47,7 +47,6 @@ from repro.core import (
     ParallelCampaignResult,
     ParallelSearchConfig,
     ParallelSearchSimulator,
-    QueryCache,
     QueryReducer,
     TQS,
     TQSConfig,
@@ -55,8 +54,6 @@ from repro.core import (
     run_baseline_campaign,
     run_campaign,
     run_differential_campaign,
-    run_parallel_baseline_campaign,
-    run_parallel_differential_campaign,
     run_parallel_shards,
     run_parallel_tqs_campaign,
     run_tqs_campaign,
@@ -113,7 +110,6 @@ __all__ = [
     "ParallelCampaignResult",
     "ParallelSearchConfig",
     "ParallelSearchSimulator",
-    "QueryCache",
     "QueryReducer",
     "CompoundQuerySpec",
     "QuerySpec",
@@ -142,8 +138,6 @@ __all__ = [
     "run_baseline_campaign",
     "run_campaign",
     "run_differential_campaign",
-    "run_parallel_baseline_campaign",
-    "run_parallel_differential_campaign",
     "run_parallel_shards",
     "run_parallel_tqs_campaign",
     "run_tqs_campaign",

@@ -29,7 +29,6 @@ from repro.baselines.base import BaselineTester
 from repro.core.bug_report import BugIncident, BugLog
 from repro.core.differential import DifferentialConfig, DifferentialTester
 from repro.core.execpipe import PipelineConfig
-from repro.core.qcache import QueryCache
 from repro.core.tqs import TQS, TQSConfig
 from repro.dsg.pipeline import DSG, DSGConfig
 from repro.dsg.query_gen import GenerationConfig
@@ -97,11 +96,9 @@ class CampaignConfig:
     use_ground_truth: bool = True
     use_kqe: bool = True
     max_hint_sets: Optional[int] = None
-    # Reference execution strategy ("columnar" or "row") and the
-    # content-addressed render/result cache — differential campaigns only;
-    # both leave verdicts bit-identical (see repro.core.qcache).
+    # Reference execution strategy ("columnar" or "row") — differential
+    # campaigns only; both give bit-identical verdicts.
     reference_executor: str = DEFAULT_REFERENCE_EXECUTOR
-    use_query_cache: bool = False
     # Widened-grammar probabilities (set operations, scalar subqueries,
     # CTEs).  0.0 keeps the classic join-query-only grammar and, by the
     # no-draw gating in the generator, byte-identical RNG streams.
@@ -141,8 +138,8 @@ class CampaignSpec:
     * ``"tqs"`` — TQS against the simulated ``dialect``;
     * ``"baseline"`` — SQLancer-style ``baseline`` against ``dialect``;
     * ``"differential"`` — TQS generation differentially against the real
-      ``backend`` adapter, honouring ``reference_executor``,
-      ``use_query_cache`` and ``pipeline_batch_size``.
+      ``backend`` adapter, honouring ``reference_executor`` and
+      ``pipeline_batch_size``.
 
     ``workers > 1`` routes through the multiprocessing pool
     (:mod:`repro.core.parallel`) and returns its merged
@@ -163,7 +160,6 @@ class CampaignSpec:
     use_kqe: bool = True
     max_hint_sets: Optional[int] = None
     reference_executor: str = DEFAULT_REFERENCE_EXECUTOR
-    use_query_cache: bool = False
     setop_probability: float = 0.0
     scalar_subquery_probability: float = 0.0
     cte_probability: float = 0.0
@@ -183,7 +179,6 @@ class CampaignSpec:
             use_kqe=self.use_kqe,
             max_hint_sets=self.max_hint_sets,
             reference_executor=self.reference_executor,
-            use_query_cache=self.use_query_cache,
             setop_probability=self.setop_probability,
             scalar_subquery_probability=self.scalar_subquery_probability,
             cte_probability=self.cte_probability,
@@ -394,16 +389,12 @@ def build_baseline_tester(baseline: BaselineTester, dialect: DialectProfile,
 def build_differential_tester(backend: BackendAdapter, config: CampaignConfig,
                               reference: Optional[Engine] = None,
                               differential: Optional[DifferentialConfig] = None,
-                              pipeline: Optional[PipelineConfig] = None,
-                              query_cache: Optional[QueryCache] = None
+                              pipeline: Optional[PipelineConfig] = None
                               ) -> DifferentialTester:
     """Deploy a DSG database into *backend* and wrap it in a tester.
 
     ``config.reference_executor`` selects the reference execution strategy
-    ("columnar" / "row"); ``config.use_query_cache`` attaches a fresh
-    :class:`~repro.core.qcache.QueryCache` serving both reference results and
-    the backend's rendered SQL (pass *query_cache* to share one across
-    testers, e.g. for repeat-campaign benches).
+    ("columnar" / "row").
 
     A failed deploy (schema rejected, data unloadable) closes the adapter
     before re-raising, so callers that never obtain a tester cannot leak a
@@ -416,18 +407,13 @@ def build_differential_tester(backend: BackendAdapter, config: CampaignConfig,
     reference = reference or reference_engine(
         dsg.database, executor=config.reference_executor
     )
-    if query_cache is None and config.use_query_cache:
-        query_cache = QueryCache()
-    if query_cache is not None and hasattr(backend, "query_cache"):
-        backend.query_cache = query_cache
     try:
         backend.deploy(dsg.database)
     except Exception:
         backend.close()
         raise
     return DifferentialTester(dsg, backend, reference=reference,
-                              config=differential, pipeline=pipeline,
-                              query_cache=query_cache)
+                              config=differential, pipeline=pipeline)
 
 
 # ------------------------------------------------------------ campaign kinds

@@ -28,7 +28,6 @@ from repro import obs
 from repro.backends.base import BackendAdapter, BackendExecution
 from repro.core.bug_report import BugIncident, BugLog
 from repro.core.execpipe import ExecutionPipeline, PipelineConfig, QueryJob
-from repro.core.qcache import QueryCache, dataset_fingerprint, result_cache_key
 from repro.dsg.pipeline import DSG
 from repro.engine.engine import Engine, reference_engine
 from repro.engine.executor import DEFAULT_REFERENCE_EXECUTOR
@@ -130,49 +129,18 @@ class DifferentialOracle:
 
     def __init__(self, reference: Engine, backend: BackendAdapter,
                  bug_log: Optional[BugLog] = None,
-                 config: Optional[DifferentialConfig] = None,
-                 query_cache: Optional[QueryCache] = None) -> None:
+                 config: Optional[DifferentialConfig] = None) -> None:
         self.reference = reference
         self.backend = backend
         self.bug_log = bug_log if bug_log is not None else BugLog()
         self.config = config or DifferentialConfig()
-        self.query_cache = query_cache
         self.comparisons = 0
         self.skipped = 0
-        self._dataset_fingerprint: Optional[str] = None
 
-    def execute_reference(self, query: AnyQuerySpec,
-                          label: str = "") -> ResultSet:
-        """Run *query* on the reference engine, through the result cache.
-
-        Cache keys are content-addressed (canonical SQL + dataset fingerprint
-        + executor name), so a hit returns exactly what the miss path would
-        recompute — the cache-on == cache-off determinism contract.  Only the
-        actual execution is timed under ``execute.reference``; that is the
-        phase the cache is built to collapse.
-        """
-        cache = self.query_cache
-        if cache is None:
-            with obs.span("execute.reference"):
-                return self.reference.execute(query)
-        if self._dataset_fingerprint is None:
-            self._dataset_fingerprint = dataset_fingerprint(
-                self.reference.database
-            )
-        executor = getattr(self.reference, "executor", None)
-        key = result_cache_key(
-            executor.name if executor is not None else "row",
-            label,
-            self._dataset_fingerprint,
-            query.render(),
-        )
-        hit, cached = cache.get(key, "result")
-        if hit:
-            return cached
+    def execute_reference(self, query: AnyQuerySpec) -> ResultSet:
+        """Run *query* on the reference engine, timed as ``execute.reference``."""
         with obs.span("execute.reference"):
-            result = self.reference.execute(query)
-        cache.put(key, result, "result")
-        return result
+            return self.reference.execute(query)
 
     def precheck(self, query: AnyQuerySpec,
                  label: str = "") -> Optional[DifferentialOutcome]:
@@ -260,7 +228,7 @@ class DifferentialOracle:
             execution: BackendExecution = self.backend.execute(query)
         except (RenderError, BackendError) as error:
             return self.judge(query, label, BackendExecution(error=error), None)
-        reference_result = self.execute_reference(query, label)
+        reference_result = self.execute_reference(query)
         return self.judge(query, label, execution, reference_result)
 
 
@@ -285,18 +253,15 @@ class DifferentialTester:
     def __init__(self, dsg: DSG, backend: BackendAdapter,
                  reference: Optional[Engine] = None,
                  config: Optional[DifferentialConfig] = None,
-                 pipeline: Optional[PipelineConfig] = None,
-                 query_cache: Optional[QueryCache] = None) -> None:
+                 pipeline: Optional[PipelineConfig] = None) -> None:
         self.dsg = dsg
         self.backend = backend
         self.config = config or DifferentialConfig()
         self.reference = reference or reference_engine(
             dsg.database, executor=DEFAULT_REFERENCE_EXECUTOR
         )
-        self.oracle = DifferentialOracle(
-            self.reference, backend, config=self.config,
-            query_cache=query_cache,
-        )
+        self.oracle = DifferentialOracle(self.reference, backend,
+                                         config=self.config)
         self.pipeline_config = pipeline or PipelineConfig()
         self.pipeline = (
             ExecutionPipeline(self.oracle, self.pipeline_config)

@@ -176,13 +176,10 @@ class ExecutionPipeline:
     def _execute_reference(self, jobs: Sequence[QueryJob]) -> List[ResultSet]:
         """The reference side of one batch, strictly in order.
 
-        Goes through the oracle's :meth:`execute_reference` so the result
-        cache (when configured) serves the pipelined path too; the
-        ``execute.reference`` span is recorded inside, around actual
-        executions only.
+        Goes through the oracle's :meth:`execute_reference`, which records
+        the ``execute.reference`` span.
         """
-        return [self.oracle.execute_reference(job.query, job.label)
-                for job in jobs]
+        return [self.oracle.execute_reference(job.query) for job in jobs]
 
     def run_batch(self, jobs: Sequence[QueryJob]
                   ) -> List["DifferentialOutcome"]:

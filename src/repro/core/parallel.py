@@ -10,8 +10,8 @@ that design:
   generated query is pushed through the single shared graph index, and the
   metric reported is queries generated per simulated hour, as in Figure 10.
 
-* The **real worker pool** (:func:`run_parallel_shards` and the
-  ``run_parallel_*_campaign`` wrappers) — campaigns sharded across
+* The **real worker pool** (:func:`run_parallel_shards` over the shards
+  :func:`build_shard_specs` splits a campaign into) — campaigns sharded across
   ``multiprocessing`` worker processes by (derived seed, dataset,
   dialect/backend).  Workers run the same shared iteration loop as the serial
   runners (:func:`~repro.core.campaign.run_campaign_loop`); at hour boundaries
@@ -972,7 +972,7 @@ def _run_shards_over_tcp(shards: Sequence[ShardSpec],
 
     Exercises the full distributed stack (framing, registration, barrier
     rounds, novelty pruning, report upload) on localhost while keeping the
-    one-call ``run_parallel_*_campaign`` interface.
+    one-call :func:`run_parallel_shards` interface.
     """
     from repro.distributed.server import IndexServer
 
@@ -1039,9 +1039,10 @@ def build_shard_specs(kind: str, config: CampaignConfig, workers: int,
     """Split one campaign into per-worker :class:`ShardSpec` assignments.
 
     The single source of truth for shard construction: the in-process
-    wrappers below and the ``python -m repro.distributed serve`` CLI both use
-    it, so a distributed deployment runs exactly the shards the local pool
-    would for the same campaign arguments.
+    wrapper below and both CLIs (``python -m repro.core.parallel``,
+    ``python -m repro.distributed serve``) use it, so a distributed
+    deployment runs exactly the shards the local pool would for the same
+    campaign arguments.
     """
     if kind not in ("tqs", "baseline", "differential"):
         raise CampaignError(
@@ -1067,36 +1068,6 @@ def run_parallel_tqs_campaign(dialect, config: Optional[CampaignConfig] = None,
     parallel = parallel or ParallelCampaignConfig()
     shards = build_shard_specs("tqs", config, parallel.workers,
                                dialect=dialect.name)
-    return run_parallel_shards(shards, parallel)
-
-
-def run_parallel_baseline_campaign(baseline_name: str, dialect,
-                                   config: Optional[CampaignConfig] = None,
-                                   parallel: Optional[ParallelCampaignConfig] = None
-                                   ) -> ParallelCampaignResult:
-    """Shard one baseline campaign (PQS / TLP / NoRec) across worker processes."""
-    config = config or CampaignConfig()
-    parallel = parallel or ParallelCampaignConfig()
-    shards = build_shard_specs("baseline", config, parallel.workers,
-                               dialect=dialect.name, baseline=baseline_name)
-    return run_parallel_shards(shards, parallel)
-
-
-def run_parallel_differential_campaign(backend_name: str,
-                                       config: Optional[CampaignConfig] = None,
-                                       parallel: Optional[ParallelCampaignConfig] = None
-                                       ) -> ParallelCampaignResult:
-    """Shard one differential campaign against a named backend across processes.
-
-    Every worker deploys its own DSG-generated database replica into its own
-    backend instance (e.g. an in-memory SQLite connection per process), so
-    there is no shared connection to contend on.
-    """
-    config = config or CampaignConfig()
-    parallel = parallel or ParallelCampaignConfig()
-    shards = build_shard_specs("differential", config, parallel.workers,
-                               backend=backend_name,
-                               batch_size=parallel.pipeline_batch_size)
     return run_parallel_shards(shards, parallel)
 
 
@@ -1178,10 +1149,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="reference execution strategy for differential "
                              "campaigns: 'columnar' (vectorized) or 'row' "
                              "(classic interpreter) (default: columnar)")
-    parser.add_argument("--query-cache", action="store_true",
-                        help="memoize rendered SQL and reference results in "
-                             "a per-shard content-addressed cache (verdicts "
-                             "stay bit-identical)")
     parser.add_argument("--setop-probability", type=float, default=0.0,
                         help="probability a generated statement becomes a "
                              "UNION / UNION ALL / INTERSECT / EXCEPT "
@@ -1203,7 +1170,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         queries_per_hour=args.queries_per_hour,
         seed=args.seed,
         reference_executor=args.executor,
-        use_query_cache=args.query_cache,
         setop_probability=args.setop_probability,
         scalar_subquery_probability=args.scalar_subquery_probability,
         cte_probability=args.cte_probability,
@@ -1220,16 +1186,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         pipeline_batch_size=args.batch_size,
         live_stats=args.live_stats,
     )
-    if args.kind == "tqs":
-        outcome = run_parallel_tqs_campaign(dialect_by_name(args.dialect),
-                                            config, parallel)
-    elif args.kind == "baseline":
-        outcome = run_parallel_baseline_campaign(args.baseline,
-                                                 dialect_by_name(args.dialect),
-                                                 config, parallel)
-    else:
-        outcome = run_parallel_differential_campaign(args.backend, config,
-                                                     parallel)
+    shards = build_shard_specs(args.kind, config, args.workers,
+                               dialect=dialect_by_name(args.dialect).name,
+                               baseline=args.baseline, backend=args.backend,
+                               batch_size=args.batch_size)
+    outcome = run_parallel_shards(shards, parallel)
     print(render_worker_pool(outcome))
     final = outcome.merged.final
     print()

@@ -160,12 +160,6 @@ def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
         help="reference execution strategy for differential campaigns: "
         "'columnar' or 'row' (default: columnar)",
     )
-    parser.add_argument(
-        "--query-cache",
-        action="store_true",
-        help="memoize rendered SQL and reference results in a per-shard "
-        "content-addressed cache (verdicts stay bit-identical)",
-    )
 
 
 def _campaign_config(args: argparse.Namespace) -> CampaignConfig:
@@ -176,7 +170,6 @@ def _campaign_config(args: argparse.Namespace) -> CampaignConfig:
         queries_per_hour=args.queries_per_hour,
         seed=args.seed,
         reference_executor=args.executor,
-        use_query_cache=args.query_cache,
     )
 
 
@@ -198,7 +191,6 @@ def _campaign_echo(args: argparse.Namespace) -> Dict[str, Any]:
         "budget_policy": args.budget_policy,
         "batch_size": args.batch_size,
         "executor": args.executor,
-        "query_cache": args.query_cache,
         "protocol": args.protocol,
     }
 
@@ -422,7 +414,6 @@ def _cmd_verify_local(args: argparse.Namespace) -> int:
         queries_per_hour=campaign["queries_per_hour"],
         seed=campaign["seed"],
         reference_executor=campaign.get("executor", DEFAULT_REFERENCE_EXECUTOR),
-        use_query_cache=campaign.get("query_cache", False),
     )
     shards = build_shard_specs(
         campaign["kind"],

@@ -279,7 +279,6 @@ def encode_campaign_config(config: Any) -> Dict[str, Any]:
         "use_kqe": config.use_kqe,
         "max_hint_sets": config.max_hint_sets,
         "reference_executor": config.reference_executor,
-        "use_query_cache": config.use_query_cache,
         "setop_probability": config.setop_probability,
         "scalar_subquery_probability": config.scalar_subquery_probability,
         "cte_probability": config.cte_probability,
@@ -306,9 +305,6 @@ def decode_campaign_config(value: Any) -> Any:
             _get(obj, "max_hint_sets", where), f"{where} max_hint_sets"
         ),
         reference_executor=_str_field(obj, "reference_executor", where),
-        use_query_cache=_bool(
-            _get(obj, "use_query_cache", where), f"{where} use_query_cache"
-        ),
         setop_probability=_float_field(obj, "setop_probability", where),
         scalar_subquery_probability=_float_field(
             obj, "scalar_subquery_probability", where

@@ -156,7 +156,7 @@ class ColumnarExecutor(ExecutorBackend):
         return ResultSet(query.output_columns(), rows)
 
     def _execute_spec(self, database: Any, query: QuerySpec,
-                      subquery_cache: List[Tuple[QuerySpec, List[tuple]]]
+                      subquery_memo: List[Tuple[QuerySpec, List[tuple]]]
                       ) -> ResultSet:
         query.validate()
         if query.limit is not None and query.limit < 0:
@@ -168,12 +168,12 @@ class ColumnarExecutor(ExecutorBackend):
             # ignores the outer row), so one execution per distinct subquery
             # node serves every outer row.  Identity keying: QuerySpec is
             # mutable and each IN/EXISTS node holds its own spec object.
-            for cached_spec, cached_rows in subquery_cache:
+            for cached_spec, cached_rows in subquery_memo:
                 if cached_spec is spec:
                     return cached_rows
-            result = self._execute_spec(database, spec, subquery_cache)
+            result = self._execute_spec(database, spec, subquery_memo)
             rows = list(result.rows)
-            subquery_cache.append((spec, rows))
+            subquery_memo.append((spec, rows))
             return rows
 
         schema = database.schema

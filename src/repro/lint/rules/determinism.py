@@ -352,104 +352,3 @@ class UnsortedSetIteration(Rule):
                 return True
         return False
 
-
-#: The content-addressed cache module whose import closure DET003 covers.
-_QCACHE_SEED = "repro/core/qcache.py"
-
-#: Function-name fragments that mark a cache-key/fingerprint builder.
-_KEY_MARKERS = ("key", "fingerprint", "digest")
-
-#: Dict view methods whose iteration order is insertion order — canonical
-#: only after sorted().
-_DICT_VIEWS = frozenset({"items", "keys", "values"})
-
-
-def _qcache_closure(project: Project) -> Set[str]:
-    """Logical paths of qcache.py plus everything it (transitively) imports."""
-    seed = project.by_logical.get(_QCACHE_SEED)
-    if seed is None:
-        return set()
-    closure: Set[str] = set()
-    frontier: List[ModuleContext] = [seed]
-    while frontier:
-        module = frontier.pop()
-        if module.logical in closure:
-            continue
-        closure.add(module.logical)
-        for dotted in module.imported_modules():
-            imported = project.resolve(dotted)
-            if imported is not None and imported.logical not in closure:
-                frontier.append(imported)
-    return closure
-
-
-@register_rule
-class NonCanonicalCacheKey(Rule):
-    rule_id = "DET003"
-    title = "cache key built from non-canonical inputs"
-    rationale = (
-        "Content-addressed cache keys must be pure functions of canonical "
-        "content.  id() is a memory address, hash() is salted per process "
-        "(PYTHONHASHSEED), and raw dict iteration bakes one construction "
-        "path's insertion order into the key — any of them lets the same "
-        "logical query fingerprint differently across runs or processes, "
-        "which silently breaks the cache-on == cache-off verdict contract.  "
-        "Inside qcache.py and its import closure, key/fingerprint/digest "
-        "builders must feed hashlib canonical text only, and wrap any dict "
-        "view in sorted(...) before iterating."
-    )
-
-    def check_module(
-        self, module: ModuleContext, project: Project
-    ) -> Iterator[Finding]:
-        closure = _qcache_closure(project)
-        if module.logical not in closure:
-            return
-        in_qcache = module.logical == _QCACHE_SEED
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            keyish = self._in_key_builder(module, node)
-            if (
-                isinstance(node.func, ast.Name)
-                and node.func.id in ("id", "hash")
-                and (in_qcache or keyish)
-            ):
-                line, col = module.finding_location(node)
-                yield Finding(
-                    rule_id=self.rule_id,
-                    path=module.path,
-                    line=line,
-                    col=col,
-                    message=f"{node.func.id}() feeding cache-key "
-                    "construction is identity/salt-dependent",
-                    hint="address content, not objects: hashlib over "
-                    "canonical rendered text",
-                )
-            elif (
-                keyish
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _DICT_VIEWS
-                and not node.args
-                and not node.keywords
-                and not UnsortedSetIteration._inside_sorted(module, node)
-            ):
-                line, col = module.finding_location(node)
-                yield Finding(
-                    rule_id=self.rule_id,
-                    path=module.path,
-                    line=line,
-                    col=col,
-                    message=f".{node.func.attr}() iterated unsorted inside "
-                    "a cache-key builder",
-                    hint="wrap the view in sorted(...) so the key is "
-                    "independent of insertion order",
-                )
-
-    @staticmethod
-    def _in_key_builder(module: ModuleContext, node: ast.AST) -> bool:
-        function = module.enclosing_function(node)
-        if function is None:
-            return False
-        name = function.name.lower()
-        return any(marker in name for marker in _KEY_MARKERS)

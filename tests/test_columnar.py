@@ -14,7 +14,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import DSG, DSGConfig, reference_engine
+from repro import CampaignSpec, DSG, DSGConfig, reference_engine, run_campaign
 from repro.engine.columnar import ColumnarExecutor
 from repro.engine.executor import executor_from_name, registered_executors
 from repro.errors import ExecutionError
@@ -105,3 +105,34 @@ def test_columnar_rejects_negative_limit():
     engine = reference_engine(dsg.database, executor="columnar")
     with pytest.raises(ExecutionError):
         engine.execute(bad)
+
+
+# ------------------------------------------------- campaign-level contract
+
+CAMPAIGN = dict(kind="differential", backend="sqlite", dataset="shopping",
+                dataset_rows=70, hours=2, queries_per_hour=10, seed=3)
+
+
+def verdicts(result):
+    assert result.bug_log is not None
+    return (
+        tuple(result.samples),
+        tuple(incident.query_sql for incident in result.bug_log.incidents),
+    )
+
+
+def test_row_equals_columnar_campaign_serial():
+    row = run_campaign(CampaignSpec(**CAMPAIGN, reference_executor="row"))
+    columnar = run_campaign(
+        CampaignSpec(**CAMPAIGN, reference_executor="columnar")
+    )
+    assert verdicts(row) == verdicts(columnar)
+
+
+def test_row_equals_columnar_campaign_pooled():
+    row = run_campaign(CampaignSpec(**CAMPAIGN, workers=2,
+                                    reference_executor="row"))
+    columnar = run_campaign(
+        CampaignSpec(**CAMPAIGN, workers=2, reference_executor="columnar")
+    )
+    assert verdicts(row.merged) == verdicts(columnar.merged)

@@ -96,7 +96,7 @@ class TestDifferentialCampaign:
         result = run_differential_campaign(
             DuckDBBackend(),
             CampaignConfig(hours=2, queries_per_hour=60, seed=17,
-                           dataset_rows=100, use_query_cache=True,
+                           dataset_rows=100,
                            setop_probability=0.4,
                            scalar_subquery_probability=0.3,
                            cte_probability=0.25),

@@ -37,7 +37,7 @@ def rule_lines(findings, rule_id):
 BAD_EXPECTATIONS = [
     ("det001_bad.py", "DET001", [8, 12, 16, 20]),
     ("det002_bad.py", "DET002", [4, 5, 6, 11]),
-    ("det003_bad.py", "DET003", [9, 10, 12, 17, 23]),
+    ("det001_seedless_bad.py", "DET001", [11]),
     ("conc001_bad.py", "CONC001", [14, 17]),
     ("sec001_bad.py", "SEC001", [7, 11]),
     ("res001_bad.py", "RES001", [7, 12]),
@@ -59,7 +59,6 @@ def test_bad_fixture_produces_expected_findings(name, rule_id, lines):
     [
         "det001_good.py",
         "det002_good.py",
-        "det003_good.py",
         "conc001_good.py",
         "sec001_good.py",
         "res001_good.py",
@@ -137,7 +136,6 @@ def test_registry_contains_the_full_rule_pack():
         "LINT000",
         "DET001",
         "DET002",
-        "DET003",
         "CONC001",
         "SEC001",
         "RES001",

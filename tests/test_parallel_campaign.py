@@ -252,3 +252,20 @@ class TestRejectedGenerationAccounting:
         assert (result.final.queries_generated
                 + result.final.generations_rejected
                 == FAST.hours * FAST.queries_per_hour)
+
+
+class TestParallelCLI:
+    @pytest.mark.parametrize("kind,target", [
+        ("baseline", "SimMySQL"),
+        ("differential", "SQLite"),
+    ])
+    def test_cli_runs_each_campaign_kind(self, kind, target, capsys):
+        from repro.core.parallel import main
+
+        code = main(["--kind", kind, "--workers", "1", "--hours", "1",
+                     "--queries-per-hour", "3", "--dataset-rows", "40",
+                     "--seed", "9", "--worker-timeout", "120"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert f"vs {target})" in out
+        assert "Merged per-hour series" in out
